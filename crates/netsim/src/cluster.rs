@@ -5,13 +5,23 @@
 //! them with the discrete-event [`World`] so that the whole ensemble
 //! executes in *virtual* time:
 //!
-//! 1. ranks run native code until they call into the handle (send, recv,
-//!    compute, ...), which parks the thread and posts a request;
-//! 2. the driver applies non-blocking requests immediately (charging LogP
-//!    software overheads to the rank's local clock) in rank order;
-//! 3. once every rank is parked in a blocking receive, the driver advances
+//! 1. ranks run native code and queue their calls (send, compute, joins,
+//!    ...) in a per-rank outbox, charging the LogP software overhead to
+//!    their own local clocks; a rank parks only on a call that needs an
+//!    answer (receive, bind), on a full outbox, or on exit;
+//! 2. the driver takes **one** request from every running rank per pass,
+//!    in rank order — waiting only on a rank whose outbox is empty — and
+//!    applies them in rank order: a send enters the world at the rank's
+//!    local time, a receive completes at once from a buffered datagram or
+//!    is posted and blocks its rank;
+//! 3. once every rank is blocked in a receive, the driver advances
 //!    network events until one completes a receive, wakes exactly that
 //!    rank, and goes back to 1.
+//!
+//! A rank's request sequence does not depend on *when* its queued
+//! requests are applied (their only answer was the local time, which the
+//! rank computes itself), so every world call happens in the same order
+//! at the same virtual time as with a blocking handoff per request.
 //!
 //! Because ranks only interact through the driver and ties are broken by
 //! rank id and event sequence number, a run is a pure function of
@@ -24,7 +34,7 @@ use parking_lot::Mutex;
 use crate::error::SimError;
 use crate::ids::{HostId, SocketId};
 use crate::params::NetParams;
-use crate::process::{ProcShared, Request, Response, SimProcess, Slot};
+use crate::process::{ProcShared, Request, Response, SimProcess};
 use crate::rng::SplitMix64;
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
@@ -156,8 +166,7 @@ where
         })
         .collect();
 
-    let shareds: Vec<Arc<ProcShared>> =
-        (0..config.n).map(|_| Arc::new(ProcShared::new())).collect();
+    let shareds: Vec<Arc<ProcShared>> = (0..config.n).map(|_| Arc::default()).collect();
     let outputs: Mutex<Vec<Option<R>>> = Mutex::new((0..config.n).map(|_| None).collect());
 
     let result: Result<(Vec<SimTime>, NetStats), SimError> = std::thread::scope(|scope| {
@@ -167,31 +176,20 @@ where
             let start = skews[rank];
             let f = &f;
             let outputs = &outputs;
+            let host = &config.params.host;
             handles.push(scope.spawn(move || {
-                // Ensure the driver learns about this rank's exit even on
-                // panic (the guard fires during unwinding).
-                struct FinishGuard {
-                    shared: Arc<ProcShared>,
-                    armed: bool,
-                }
+                // Tell the driver about this rank's exit, also when it
+                // unwinds (the guard fires during unwinding).
+                struct FinishGuard(Arc<ProcShared>);
                 impl Drop for FinishGuard {
                     fn drop(&mut self) {
-                        if self.armed {
-                            *self.shared.slot.lock() = Slot::Finished { panicked: true };
-                            self.shared.to_driver.notify_one();
-                        }
+                        self.0.finish(std::thread::panicking());
                     }
                 }
-                let mut guard = FinishGuard {
-                    shared: Arc::clone(&shared),
-                    armed: true,
-                };
-                let proc = SimProcess::new(Arc::clone(&shared), rank, start);
+                let _guard = FinishGuard(Arc::clone(&shared));
+                let proc = SimProcess::new(shared, host.clone(), rank, start);
                 let out = f(proc);
                 outputs.lock()[rank] = Some(out);
-                guard.armed = false;
-                *shared.slot.lock() = Slot::Finished { panicked: false };
-                shared.to_driver.notify_one();
             }));
         }
         let r = drive(config, &mut world, &shareds, skews);
@@ -221,32 +219,30 @@ where
     })
 }
 
-/// Wait until `shared` holds a request or a finish marker, then return a
-/// taken `Request` (slot left `Idle`, rank parked) or `None` for finished.
-fn wait_for_request(shared: &ProcShared) -> Option<Request> {
-    let mut slot = shared.slot.lock();
+/// Take rank `shared`'s next request, waiting while its outbox is empty.
+/// `Err(panicked)` once the rank has finished and its outbox is drained.
+fn next_request(shared: &ProcShared) -> Result<Request, bool> {
+    let mut mb = shared.mailbox.lock();
     loop {
-        match &*slot {
-            Slot::Requested(_) => {
-                let Slot::Requested(req) = std::mem::replace(&mut *slot, Slot::Idle) else {
-                    unreachable!();
-                };
-                return Some(req);
+        if let Some(req) = mb.queue.pop_front() {
+            if mb.rank_wants_space {
+                mb.rank_wants_space = false;
+                shared.to_proc.notify_one();
             }
-            Slot::Finished { .. } => return None,
-            _ => shared.to_driver.wait(&mut slot),
+            return Ok(req);
         }
+        if let Some(panicked) = mb.finished {
+            return Err(panicked);
+        }
+        mb.driver_waiting = true;
+        shared.to_driver.wait(&mut mb);
     }
 }
 
-fn respond(shared: &ProcShared, resp: Response, at: SimTime) {
-    let mut slot = shared.slot.lock();
-    *slot = Slot::Responded(resp, at);
+/// Answer rank `shared`'s blocking request; `at` is its new local time.
+fn answer(shared: &ProcShared, resp: Response, at: SimTime) {
+    shared.mailbox.lock().reply = Some((resp, at));
     shared.to_proc.notify_one();
-}
-
-fn rank_panicked(shared: &ProcShared) -> bool {
-    matches!(*shared.slot.lock(), Slot::Finished { panicked: true })
 }
 
 #[allow(clippy::too_many_lines)]
@@ -257,7 +253,7 @@ fn drive(
     skews: Vec<SimTime>,
 ) -> Result<(Vec<SimTime>, NetStats), SimError> {
     let n = config.n;
-    let hp = config.params.host.clone();
+    let hp = &config.params.host;
     let mut status = vec![RankStatus::Running; n];
     let mut local = skews;
     let mut next_token: u64 = 0;
@@ -265,16 +261,17 @@ fn drive(
     let time_limit = SimTime::ZERO + config.time_limit;
 
     let abort = loop {
-        // Phase 1: collect a request (or exit notice) from every running rank.
+        // Phase 1: take one request (or exit notice) from every running
+        // rank, in rank order.
         let mut panicked_rank = None;
         for i in 0..n {
             if status[i] != RankStatus::Running || pending[i].is_some() {
                 continue;
             }
-            match wait_for_request(&shareds[i]) {
-                Some(req) => pending[i] = Some(req),
-                None => {
-                    if rank_panicked(&shareds[i]) {
+            match next_request(&shareds[i]) {
+                Ok(req) => pending[i] = Some(req),
+                Err(panicked) => {
+                    if panicked {
                         panicked_rank = Some(i);
                     }
                     status[i] = RankStatus::Done;
@@ -288,44 +285,30 @@ fn drive(
             });
         }
 
-        // Phase 2: apply non-blocking requests in rank order.
-        let mut any_immediate = false;
+        // Phase 2: apply the requests in rank order. The charges mirror
+        // the ones the rank already applied to its own clock.
         for i in 0..n {
             let Some(req) = pending[i].take() else {
                 continue;
             };
             let host = HostId(i as u32);
             match req {
-                Request::Bind { port } => {
+                Request::Bind { port, at } => {
+                    debug_assert_eq!(at, local[i], "rank {i} clock diverged from the driver's");
                     let sid = world.bind(host, port);
-                    respond(&shareds[i], Response::Socket(sid), local[i]);
-                    any_immediate = true;
+                    answer(&shareds[i], Response::Socket(sid), local[i]);
                 }
                 Request::JoinQuiet { socket, group } => {
                     world.join_group_quiet(host, socket, group);
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
                 }
                 Request::LeaveQuiet { socket, group } => {
                     world.leave_group_quiet(host, socket, group);
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
                 }
                 Request::JoinIgmp { socket, group } => {
                     local[i] += hp.o_send;
                     world.join_group_igmp(host, socket, group, local[i]);
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
                 }
-                Request::Now => {
-                    respond(&shareds[i], Response::Time, local[i]);
-                    any_immediate = true;
-                }
-                Request::Compute { dur } => {
-                    local[i] += dur;
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
-                }
+                Request::Compute { dur } => local[i] += dur,
                 Request::Send {
                     socket,
                     dst,
@@ -333,12 +316,7 @@ fn drive(
                     payload,
                     kernel,
                 } => {
-                    let len = payload.len() as u64;
-                    local[i] += if kernel {
-                        hp.o_kernel_send
-                    } else {
-                        hp.o_send + hp.send_per_byte * len
-                    };
+                    local[i] += hp.send_cost(payload.len(), kernel);
                     let src_port = world.host(host).socket(socket).port;
                     world.send_datagram(
                         host,
@@ -350,17 +328,19 @@ fn drive(
                         config.multicast_loopback,
                         kernel,
                     );
-                    respond(&shareds[i], Response::Done, local[i]);
-                    any_immediate = true;
                 }
-                Request::Recv { socket, timeout } => {
+                Request::Recv {
+                    socket,
+                    timeout,
+                    at,
+                } => {
+                    debug_assert_eq!(at, local[i], "rank {i} clock diverged from the driver's");
                     // Ranks only run while the world is paused, so any
                     // buffered datagram arrived at or before the rank's
                     // local time — it can complete the receive directly.
                     if let Some((_arrived, dg)) = world.try_pop_buffered(host, socket) {
-                        local[i] += hp.o_recv + hp.recv_per_byte * dg.payload.len() as u64;
-                        respond(&shareds[i], Response::Datagram(Some(dg)), local[i]);
-                        any_immediate = true;
+                        local[i] += hp.recv_cost(dg.payload.len());
+                        answer(&shareds[i], Response::Datagram(Some(dg)), local[i]);
                     } else {
                         // The receive becomes *posted* at the rank's local
                         // time, not at the (earlier) world time — crucial
@@ -377,13 +357,10 @@ fn drive(
                 }
             }
         }
-        if status.iter().all(|s| *s == RankStatus::Done) {
-            break None;
-        }
-        if any_immediate {
+        if status.contains(&RankStatus::Running) {
             continue;
         }
-        if status.iter().all(|s| s == &RankStatus::Done) {
+        if status.iter().all(|s| *s == RankStatus::Done) {
             break None;
         }
 
@@ -429,11 +406,9 @@ fn drive(
                             // Use the completion's event time, not `now`:
                             // under the frame engine the world clock is
                             // already at the frame boundary.
-                            local[i] = local[i].max(at)
-                                + hp.o_recv
-                                + hp.recv_per_byte * dg.payload.len() as u64;
+                            local[i] = local[i].max(at) + hp.recv_cost(dg.payload.len());
                             status[i] = RankStatus::Running;
-                            respond(&shareds[i], Response::Datagram(Some(dg)), local[i]);
+                            answer(&shareds[i], Response::Datagram(Some(dg)), local[i]);
                         }
                         Completion::TimerFired {
                             host,
@@ -451,7 +426,7 @@ fn drive(
                                     world.cancel_recv(host, s);
                                     local[i] = local[i].max(at);
                                     status[i] = RankStatus::Running;
-                                    respond(&shareds[i], Response::Datagram(None), local[i]);
+                                    answer(&shareds[i], Response::Datagram(None), local[i]);
                                 }
                                 _ => {
                                     // Stale timer for an already-completed
@@ -474,40 +449,21 @@ fn drive(
             Ok((local, world.stats().clone()))
         }
         Some(err) => {
-            // Tear down: wake every parked or soon-to-ask rank with Aborted
-            // until all threads have exited (their handles panic, which the
-            // finish guard converts into a Finished marker).
-            let mut done: Vec<bool> = status.iter().map(|s| *s == RankStatus::Done).collect();
-            while !done.iter().all(|d| *d) {
-                for i in 0..n {
-                    if done[i] {
-                        continue;
-                    }
-                    let shared = &shareds[i];
-                    let mut slot = shared.slot.lock();
-                    loop {
-                        match &*slot {
-                            Slot::Finished { .. } => {
-                                done[i] = true;
-                                break;
-                            }
-                            Slot::Requested(_) | Slot::Idle => {
-                                *slot = Slot::Responded(Response::Aborted, local[i]);
-                                shared.to_proc.notify_one();
-                                // Wait for the rank to unwind.
-                                while !matches!(*slot, Slot::Finished { .. }) {
-                                    shared.to_driver.wait(&mut slot);
-                                }
-                                done[i] = true;
-                                break;
-                            }
-                            Slot::Responded(..) => {
-                                // Rank is waking from a previous response;
-                                // wait for its next state.
-                                shared.to_driver.wait(&mut slot);
-                            }
-                        }
-                    }
+            // Tear down: drop every unapplied request and post `Aborted`
+            // to each rank that has not exited. A parked rank wakes on
+            // it, a running one meets it at its next call; either way its
+            // handle panics, which the finish guard reports.
+            for shared in shareds {
+                let mut mb = shared.mailbox.lock();
+                mb.queue.clear();
+                if mb.finished.is_some() {
+                    continue;
+                }
+                mb.reply = Some((Response::Aborted, SimTime::ZERO));
+                shared.to_proc.notify_one();
+                while mb.finished.is_none() {
+                    mb.driver_waiting = true;
+                    shared.to_driver.wait(&mut mb);
                 }
             }
             Err(err)

@@ -181,6 +181,23 @@ pub struct HostParams {
     pub strict_posted_recv: bool,
 }
 
+impl HostParams {
+    /// CPU time a rank spends posting a `len`-byte send: `o_send` plus
+    /// the per-byte copy, or just `o_kernel_send` for kernel traffic.
+    pub fn send_cost(&self, len: usize, kernel: bool) -> SimDuration {
+        if kernel {
+            self.o_kernel_send
+        } else {
+            self.o_send + self.send_per_byte * len as u64
+        }
+    }
+
+    /// CPU time a rank spends completing a `len`-byte receive.
+    pub fn recv_cost(&self, len: usize) -> SimDuration {
+        self.o_recv + self.recv_per_byte * len as u64
+    }
+}
+
 impl Default for HostParams {
     fn default() -> Self {
         HostParams {

@@ -1,26 +1,46 @@
-//! The blocking API a simulated MPI process programs against.
+//! The API a simulated MPI process programs against.
 //!
 //! Each rank runs on its own OS thread and talks to the simulation driver
-//! through a one-slot mailbox: the rank posts a [`Request`] and parks until
-//! the driver hands back a [`Response`] stamped with the rank's new local
-//! virtual time. The same collective-operation code therefore runs
+//! through a per-rank outbox. Calls that need no answer — sends, compute,
+//! group joins and leaves — charge their LogP cost to the rank's own local
+//! clock with the same [`HostParams`] formulas the driver applies, queue a
+//! request, and return at once. Only the calls that need an answer
+//! ([`SimProcess::bind`], [`SimProcess::recv`],
+//! [`SimProcess::recv_timeout`]) park the rank until the driver posts an
+//! answer stamped with its new local time. A rank also parks while
+//! its outbox holds [`OUTBOX_CAP`] unapplied requests, so a rank running
+//! ahead of the driver cannot grow memory. The driver applies the queued
+//! requests in exactly the order and at exactly the virtual times a
+//! blocking handoff would (see `docs/SIMULATOR.md`, "Rank↔driver
+//! handoff"). The same collective-operation code therefore runs
 //! unmodified here and on a real UDP transport — only the handle differs.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::frame::{Datagram, SharedPayload};
 use crate::ids::{DatagramDst, GroupId, SocketId, UdpPort};
+use crate::params::HostParams;
 use crate::time::{SimDuration, SimTime};
+
+/// How many unapplied requests a rank may queue before it parks until
+/// the driver catches up. Bounds both rank run-ahead and the payload
+/// handles a queue can pin.
+pub const OUTBOX_CAP: usize = 16;
 
 /// What a rank asks the driver to do.
 #[derive(Debug)]
-pub enum Request {
-    /// Bind a UDP socket (free: setup-time configuration).
+pub(crate) enum Request {
+    /// Bind a UDP socket (free: setup-time configuration). Blocking: the
+    /// answer is the socket id.
     Bind {
         /// Local port to bind.
         port: UdpPort,
+        /// The rank's local time when it posted (checked against the
+        /// driver's copy).
+        at: SimTime,
     },
     /// Join a multicast group without IGMP traffic (setup-time).
     JoinQuiet {
@@ -36,15 +56,15 @@ pub enum Request {
         /// Group to leave.
         group: GroupId,
     },
-    /// Join a multicast group with an IGMP membership report on the wire.
+    /// Join a multicast group with an IGMP membership report on the wire
+    /// (charges `o_send`).
     JoinIgmp {
         /// Socket joining.
         socket: SocketId,
         /// Group to join.
         group: GroupId,
     },
-    /// Send a datagram (charges `o_send` + per-byte copy, or the cheap
-    /// `o_kernel_send` when `kernel` is set).
+    /// Send a datagram (charges [`HostParams::send_cost`]).
     Send {
         /// Sending socket.
         socket: SocketId,
@@ -59,99 +79,112 @@ pub enum Request {
         kernel: bool,
     },
     /// Receive the next datagram on `socket`, optionally with a timeout.
+    /// Blocking: the answer is the datagram (or `None` on timeout).
     Recv {
         /// Receiving socket.
         socket: SocketId,
         /// Give up after this long, if set.
         timeout: Option<SimDuration>,
+        /// The rank's local time when it posted (checked against the
+        /// driver's copy).
+        at: SimTime,
     },
     /// Advance the local clock by `dur` (models application computation).
     Compute {
         /// Amount of virtual work.
         dur: SimDuration,
     },
-    /// Read the local clock.
-    Now,
 }
 
-/// What the driver answers.
+/// What the driver answers to a blocking request.
 #[derive(Debug)]
-pub enum Response {
+pub(crate) enum Response {
     /// Socket created.
     Socket(SocketId),
-    /// Operation done (joins, sends, compute); the timestamp is the rank's
-    /// new local time.
-    Done,
     /// Receive completed: `None` means the timeout elapsed first.
     Datagram(Option<Arc<Datagram>>),
-    /// Current local time answer for [`Request::Now`].
-    Time,
     /// The run is being torn down (another rank panicked, deadlock, limit);
     /// the handle raises a panic to unwind this rank.
     Aborted,
 }
 
-/// Mailbox slot state.
-#[derive(Debug)]
-pub enum Slot {
-    /// Rank is executing application code.
-    Idle,
-    /// Rank posted a request and is parked.
-    Requested(Request),
-    /// Driver posted a response; rank is waking.
-    Responded(Response, SimTime),
-    /// Rank's closure returned (or unwound).
-    Finished {
-        /// True when the rank exited by panic.
-        panicked: bool,
-    },
+/// The state one rank thread and the driver share.
+#[derive(Debug, Default)]
+pub(crate) struct Mailbox {
+    /// Requests the rank posted that the driver has not taken yet, in
+    /// program order.
+    pub(crate) queue: VecDeque<Request>,
+    /// The driver's answer to the rank's blocking request (or `Aborted`
+    /// during teardown) and the rank's new local time.
+    pub(crate) reply: Option<(Response, SimTime)>,
+    /// `Some(panicked)` once the rank's closure returned or unwound.
+    pub(crate) finished: Option<bool>,
+    /// The driver is parked on `to_driver` waiting for this rank.
+    pub(crate) driver_waiting: bool,
+    /// The rank is parked on `to_proc` waiting for outbox space.
+    pub(crate) rank_wants_space: bool,
 }
 
 /// Shared mailbox between one rank thread and the driver.
-pub struct ProcShared {
-    /// The slot.
-    pub slot: Mutex<Slot>,
-    /// Signalled by the rank when it posts a request or finishes.
-    pub to_driver: Condvar,
-    /// Signalled by the driver when it posts a response.
-    pub to_proc: Condvar,
+#[derive(Default)]
+pub(crate) struct ProcShared {
+    pub(crate) mailbox: Mutex<Mailbox>,
+    /// Signalled by the rank when it posts or finishes while the driver
+    /// waits on it.
+    pub(crate) to_driver: Condvar,
+    /// Signalled by the driver when it answers, frees outbox space the
+    /// rank waits for, or aborts.
+    pub(crate) to_proc: Condvar,
 }
 
 impl ProcShared {
-    /// Fresh mailbox in the idle state.
-    pub fn new() -> Self {
-        ProcShared {
-            slot: Mutex::new(Slot::Idle),
-            to_driver: Condvar::new(),
-            to_proc: Condvar::new(),
-        }
+    /// Rank side: record that the rank's closure returned or unwound.
+    pub(crate) fn finish(&self, panicked: bool) {
+        let mut mb = self.mailbox.lock();
+        mb.finished = Some(panicked);
+        self.wake_driver(&mut mb);
     }
-}
 
-impl Default for ProcShared {
-    fn default() -> Self {
-        Self::new()
+    fn wake_driver(&self, mb: &mut Mailbox) {
+        if mb.driver_waiting {
+            mb.driver_waiting = false;
+            self.to_driver.notify_one();
+        }
     }
 }
 
 /// Marker payload used to unwind a rank thread during simulation teardown.
 pub struct AbortUnwind;
 
+fn abort_unwind() -> ! {
+    // Unwind without invoking the panic hook (this is controlled
+    // teardown, not a bug in the rank's code).
+    std::panic::resume_unwind(Box::new(AbortUnwind))
+}
+
 /// Handle a rank uses to interact with the simulated network.
 ///
-/// All methods block the calling thread until the driver has advanced
-/// virtual time far enough to answer. Local time is monotone per rank and
-/// reflects LogP-style software overheads charged by the driver.
+/// Receives and binds block the calling thread until the driver has
+/// advanced virtual time far enough to answer; every other call returns
+/// once its request is queued. Local time is monotone per rank and
+/// reflects LogP-style software overheads.
 pub struct SimProcess {
-    pub(crate) shared: Arc<ProcShared>,
-    pub(crate) rank: usize,
-    pub(crate) local_time: SimTime,
+    shared: Arc<ProcShared>,
+    host: HostParams,
+    rank: usize,
+    local_time: SimTime,
 }
 
 impl SimProcess {
-    pub(crate) fn new(shared: Arc<ProcShared>, rank: usize, start: SimTime) -> Self {
+    pub(crate) fn new(
+        shared: Arc<ProcShared>,
+        host: HostParams,
+        rank: usize,
+        start: SimTime,
+    ) -> Self {
         SimProcess {
             shared,
+            host,
             rank,
             local_time: start,
         }
@@ -167,34 +200,49 @@ impl SimProcess {
         self.local_time
     }
 
+    /// Queue `req`, parking only while the outbox is full. Returns the
+    /// still-locked mailbox so a blocking call can park on its answer.
+    fn post(&self, req: Request) -> MutexGuard<'_, Mailbox> {
+        let mut mb = self.shared.mailbox.lock();
+        while mb.queue.len() >= OUTBOX_CAP && mb.reply.is_none() {
+            mb.rank_wants_space = true;
+            self.shared.to_proc.wait(&mut mb);
+        }
+        // A running rank holds no unconsumed answer: a reply here is the
+        // teardown's `Aborted`. Taking it leaves calls made while
+        // unwinding to queue instead of panicking again.
+        if mb.reply.take().is_some() {
+            drop(mb);
+            abort_unwind();
+        }
+        mb.queue.push_back(req);
+        self.shared.wake_driver(&mut mb);
+        mb
+    }
+
+    /// Queue a request that needs an answer and park until it arrives.
     fn call(&mut self, req: Request) -> Response {
-        let mut slot = self.shared.slot.lock();
-        debug_assert!(matches!(*slot, Slot::Idle), "re-entrant request");
-        *slot = Slot::Requested(req);
-        self.shared.to_driver.notify_one();
-        loop {
-            match &*slot {
-                Slot::Responded(..) => break,
-                _ => self.shared.to_proc.wait(&mut slot),
+        let mut mb = self.post(req);
+        let (resp, at) = loop {
+            if let Some(reply) = mb.reply.take() {
+                break reply;
             }
-        }
-        let Slot::Responded(resp, at) = std::mem::replace(&mut *slot, Slot::Idle) else {
-            unreachable!("checked above");
+            self.shared.to_proc.wait(&mut mb);
         };
-        drop(slot);
-        self.local_time = at;
+        drop(mb);
         if matches!(resp, Response::Aborted) {
-            // Unwind without invoking the panic hook (this is controlled
-            // teardown, not a bug in the rank's code).
-            std::panic::resume_unwind(Box::new(AbortUnwind));
+            abort_unwind();
         }
+        self.local_time = at;
         resp
     }
 
     /// Bind a UDP socket on this host (setup-time, free).
     pub fn bind(&mut self, port: u16) -> SocketId {
+        let at = self.local_time;
         match self.call(Request::Bind {
             port: UdpPort(port),
+            at,
         }) {
             Response::Socket(s) => s,
             other => unreachable!("bad response {other:?}"),
@@ -204,18 +252,19 @@ impl SimProcess {
     /// Join `group` on `socket` without emitting IGMP traffic (models a
     /// group set up before the timed region, like an MPI communicator).
     pub fn join_group(&mut self, socket: SocketId, group: GroupId) {
-        self.call(Request::JoinQuiet { socket, group });
+        self.post(Request::JoinQuiet { socket, group });
     }
 
     /// Leave `group` on `socket` (setup-time, free).
     pub fn leave_group(&mut self, socket: SocketId, group: GroupId) {
-        self.call(Request::LeaveQuiet { socket, group });
+        self.post(Request::LeaveQuiet { socket, group });
     }
 
     /// Join `group` emitting a real IGMP membership report (costs a send
     /// overhead and a frame on the wire).
     pub fn join_group_igmp(&mut self, socket: SocketId, group: GroupId) {
-        self.call(Request::JoinIgmp { socket, group });
+        self.local_time += self.host.o_send;
+        self.post(Request::JoinIgmp { socket, group });
     }
 
     /// Send `payload` as one UDP datagram to a unicast or multicast
@@ -231,13 +280,7 @@ impl SimProcess {
         dst_port: u16,
         payload: impl Into<SharedPayload>,
     ) {
-        self.call(Request::Send {
-            socket,
-            dst,
-            dst_port: UdpPort(dst_port),
-            payload: payload.into(),
-            kernel: false,
-        });
+        self.queue_send(socket, dst, dst_port, payload.into(), false);
     }
 
     /// Send kernel-generated traffic (e.g. a modelled TCP ack): the frame
@@ -250,24 +293,32 @@ impl SimProcess {
         dst_port: u16,
         payload: impl Into<SharedPayload>,
     ) {
-        self.call(Request::Send {
+        self.queue_send(socket, dst, dst_port, payload.into(), true);
+    }
+
+    fn queue_send(
+        &mut self,
+        socket: SocketId,
+        dst: DatagramDst,
+        dst_port: u16,
+        payload: SharedPayload,
+        kernel: bool,
+    ) {
+        self.local_time += self.host.send_cost(payload.len(), kernel);
+        self.post(Request::Send {
             socket,
             dst,
             dst_port: UdpPort(dst_port),
-            payload: payload.into(),
-            kernel: true,
+            payload,
+            kernel,
         });
     }
 
     /// Block until a datagram arrives on `socket`.
     pub fn recv(&mut self, socket: SocketId) -> Arc<Datagram> {
-        match self.call(Request::Recv {
-            socket,
-            timeout: None,
-        }) {
-            Response::Datagram(Some(d)) => d,
-            Response::Datagram(None) => unreachable!("no timeout was set"),
-            other => unreachable!("bad response {other:?}"),
+        match self.recv_inner(socket, None) {
+            Some(d) => d,
+            None => unreachable!("no timeout was set"),
         }
     }
 
@@ -277,9 +328,19 @@ impl SimProcess {
         socket: SocketId,
         timeout: SimDuration,
     ) -> Option<Arc<Datagram>> {
+        self.recv_inner(socket, Some(timeout))
+    }
+
+    fn recv_inner(
+        &mut self,
+        socket: SocketId,
+        timeout: Option<SimDuration>,
+    ) -> Option<Arc<Datagram>> {
+        let at = self.local_time;
         match self.call(Request::Recv {
             socket,
-            timeout: Some(timeout),
+            timeout,
+            at,
         }) {
             Response::Datagram(d) => d,
             other => unreachable!("bad response {other:?}"),
@@ -288,6 +349,7 @@ impl SimProcess {
 
     /// Model `dur` of local computation.
     pub fn compute(&mut self, dur: SimDuration) {
-        self.call(Request::Compute { dur });
+        self.local_time += dur;
+        self.post(Request::Compute { dur });
     }
 }

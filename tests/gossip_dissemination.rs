@@ -13,7 +13,7 @@ use mcast_mpi::netsim::error::SimError;
 use mcast_mpi::netsim::ids::{DatagramDst, GroupId, HostId, UdpPort};
 use mcast_mpi::netsim::params::NetParams;
 use mcast_mpi::netsim::time::{SimDuration, SimTime};
-use mcast_mpi::netsim::world::{StepOutcome, World};
+use mcast_mpi::netsim::world::{RunMode, StepOutcome, World};
 use mcast_mpi::transport::{run_mem_world, run_sim_world_stats, Comm, RepairConfig, SimCommConfig};
 
 /// The lossy-recovery kitchen sink with the gossip bcast selected:
@@ -234,76 +234,100 @@ fn fingerprint(parts: &[String]) -> u64 {
     h
 }
 
+/// The observable outcome of the seam scenario — a lossy repaired
+/// multicast bcast + barrier at N=4 — on the given engine.
+fn seam_fingerprint(mode: RunMode) -> u64 {
+    let params = NetParams::fast_ethernet_switch().with_loss(0.10);
+    let cluster = ClusterConfig::new(4, params, 0x5EA3_10CC)
+        .with_start_skew(SimDuration::from_micros(80))
+        .with_run_mode(mode);
+    let (report, stats) =
+        run_sim_world_stats(&cluster, &SimCommConfig::default().with_repair(), |c| {
+            let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::McastBinary);
+            let mut buf = if comm.rank() == 0 {
+                vec![0x5A; 3000]
+            } else {
+                vec![0; 3000]
+            };
+            comm.bcast(0, &mut buf).unwrap();
+            comm.barrier().unwrap();
+            buf.iter().map(|&b| b as u64).sum::<u64>()
+        })
+        .expect("multicast seam run must recover");
+    assert_eq!(
+        (
+            stats.repair.advrs_sent,
+            stats.repair.wants_sent,
+            stats.repair.pulls_answered,
+            stats.repair.duplicate_payloads_avoided,
+        ),
+        (0, 0, 0, 0),
+        "no gossip machinery may run under Dissemination::Multicast"
+    );
+    let parts = vec![
+        format!("{:?}", report.completion_times),
+        format!("{:?}", report.outputs),
+        format!(
+            "frames={} dgrams={} losses={} mcast={}",
+            stats.net.frames_sent,
+            stats.net.datagrams_delivered,
+            stats.net.injected_frame_losses,
+            stats.net.mcast_datagrams_sent,
+        ),
+        format!(
+            "nacks={} retx={} suppressed={} horizons={}",
+            stats.repair.nacks_sent,
+            stats.repair.retransmits_sent,
+            stats.repair.nacks_suppressed,
+            stats.repair.horizons_sent,
+        ),
+    ];
+    fingerprint(&parts)
+}
+
 /// The seam lock (ISSUE 9 acceptance): with `Dissemination::Multicast`
 /// selected — the default, i.e. plain `with_repair()` — a lossy
-/// repaired run is byte-identical to the pre-seam protocol. The
-/// fingerprint below was captured when the seam landed; every gossip
-/// hook must stay gated so tightly that no counter, timestamp or RNG
-/// draw moves. If this fails, the dissemination seam leaked into the
-/// multicast path — that is a bug, not a fingerprint to refresh
-/// (refresh it only for a deliberate protocol change, by running the
-/// test and copying the printed value).
+/// repaired run is byte-identical to the pre-seam protocol, on each
+/// engine against the fingerprint that engine produced before the seam
+/// (engines do not promise identical runs, see `docs/SIMULATOR.md`, so
+/// every run pins its engine). Every gossip hook must stay gated so
+/// tightly that no counter, timestamp or RNG draw moves. If this fails,
+/// the dissemination seam leaked into the multicast path — that is a
+/// bug, not a fingerprint to refresh (refresh it only for a deliberate
+/// protocol change, by running the test and copying the printed value).
 #[test]
 fn multicast_dissemination_is_byte_identical_through_the_seam() {
-    let run = || {
-        let params = NetParams::fast_ethernet_switch().with_loss(0.10);
-        let cluster = ClusterConfig::new(4, params, 0x5EA3_10CC)
-            .with_start_skew(SimDuration::from_micros(80));
-        let (report, stats) =
-            run_sim_world_stats(&cluster, &SimCommConfig::default().with_repair(), |c| {
-                let mut comm = Communicator::new(c).with_bcast(BcastAlgorithm::McastBinary);
-                let mut buf = if comm.rank() == 0 {
-                    vec![0x5A; 3000]
-                } else {
-                    vec![0; 3000]
-                };
-                comm.bcast(0, &mut buf).unwrap();
-                comm.barrier().unwrap();
-                buf.iter().map(|&b| b as u64).sum::<u64>()
-            })
-            .expect("multicast seam run must recover");
-        assert_eq!(
-            (
-                stats.repair.advrs_sent,
-                stats.repair.wants_sent,
-                stats.repair.pulls_answered,
-                stats.repair.duplicate_payloads_avoided,
-            ),
-            (0, 0, 0, 0),
-            "no gossip machinery may run under Dissemination::Multicast"
-        );
-        let parts = vec![
-            format!("{:?}", report.completion_times),
-            format!("{:?}", report.outputs),
-            format!(
-                "frames={} dgrams={} losses={} mcast={}",
-                stats.net.frames_sent,
-                stats.net.datagrams_delivered,
-                stats.net.injected_frame_losses,
-                stats.net.mcast_datagrams_sent,
-            ),
-            format!(
-                "nacks={} retx={} suppressed={} horizons={}",
-                stats.repair.nacks_sent,
-                stats.repair.retransmits_sent,
-                stats.repair.nacks_suppressed,
-                stats.repair.horizons_sent,
-            ),
-        ];
-        fingerprint(&parts)
-    };
-    let a = run();
+    let a = seam_fingerprint(RunMode::EventLoop);
     println!("multicast seam fingerprint: {a:#018x}");
-    assert_eq!(a, run(), "seam run must replay byte-identically");
+    assert_eq!(
+        a,
+        seam_fingerprint(RunMode::EventLoop),
+        "seam run must replay byte-identically"
+    );
     assert_eq!(
         a, MULTICAST_SEAM_FINGERPRINT,
         "Dissemination::Multicast must stay byte-identical to the \
          pre-seam protocol"
     );
+    for workers in [1, 4] {
+        let f = seam_fingerprint(RunMode::Frames { workers });
+        println!("multicast seam fingerprint, frames w{workers}: {f:#018x}");
+        assert_eq!(
+            f, MULTICAST_SEAM_FRAMES_FINGERPRINT,
+            "Dissemination::Multicast must stay byte-identical to the \
+             pre-seam protocol on the frame engine"
+        );
+    }
 }
 
-/// Captured from the run above when the dissemination seam landed.
+/// Captured from the run above, on the event-loop engine, when the
+/// dissemination seam landed.
 const MULTICAST_SEAM_FINGERPRINT: u64 = 0x400e_b4e8_1957_be5e;
+
+/// The frame-engine twin (identical at any worker count): the same
+/// scenario run on the frame engine at the commit before the seam
+/// landed.
+const MULTICAST_SEAM_FRAMES_FINGERPRINT: u64 = 0xc36b_b4ca_07ca_0c67;
 
 /// The epidemic efficiency invariant (ISSUE 9): under gossip on a
 /// unicast-only fabric, no payload chunk crosses any single link more
